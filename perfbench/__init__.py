@@ -1,0 +1,6 @@
+"""Workload benchmark: how long users wait for AIMQ answers, split by layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root.  ``BENCHMARK.json`` lists the
+workloads and metrics; ``perfbench/README.md`` explains the design.
+"""
