@@ -9,8 +9,7 @@ Escape *roots* are callables handed to a concurrency boundary:
   codebase is a thread-pool submit;
 * ``pool.map(fn, ...)`` only when the receiver is a *known* thread
   pool (``ProcessPoolExecutor.map`` crosses a process boundary, where
-  thread-safety rules do not apply — the sim-mining estimator relies
-  on this);
+  thread-safety rules do not apply);
 * ``threading.Thread(target=fn, args=...)``.
 
 The *escaping* set closes the roots over resolved call edges: anything

@@ -353,15 +353,6 @@ class AIMQEngine:
         relevant_found = 0
         extracted = 0
         observing = OBS.enabled
-        # Bounded scoring drops provably-below-threshold rows without a
-        # full evaluation; every kept score is exact, so answers are
-        # bit-identical.  The score histogram must see every score, so
-        # observability forces the plain path.
-        bounded_scorer = (
-            self.similarity.bounded_row_scorer(base_row, threshold)
-            if settings.indexed_ranking and not observing
-            else None
-        )
         score_histogram = (
             OBS.registry.histogram(
                 "repro_core_similarity_score",
@@ -438,15 +429,9 @@ class AIMQEngine:
                         continue
                     extracted += 1
                     trace.tuples_extracted += 1
-                    if bounded_scorer is not None:
-                        maybe_score = bounded_scorer.score_above(row)
-                        if maybe_score is None:
-                            continue  # proven <= threshold, never kept
-                        base_similarity = maybe_score
-                    else:
-                        base_similarity = base_scorer(row)
-                        if score_histogram is not None:
-                            score_histogram.observe(base_similarity)
+                    base_similarity = base_scorer(row)
+                    if score_histogram is not None:
+                        score_histogram.observe(base_similarity)
                     if base_similarity <= threshold:
                         continue
                     existing = extended.get(row_id)

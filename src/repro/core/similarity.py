@@ -38,15 +38,7 @@ __all__ = [
     "range_scaled_similarity",
     "TupleSimilarity",
     "BindingsScorer",
-    "BoundedScorer",
 ]
-
-#: Slack on the bounded scorer's skip cutoff.  The per-term caps
-#: dominate the true terms exactly, but floating-point summation is not
-#: termwise monotone, so skips require clearing the threshold by a
-#: margin ~1e6× the worst-case rounding error at these magnitudes
-#: (the same argument as the miner's ``_PRUNE_SLACK``).
-_BOUND_SLACK = 1e-9
 
 
 def numeric_similarity(reference: float, candidate: float) -> float:
@@ -107,58 +99,6 @@ class BindingsScorer:
         for position, weight, value_score in self._plan:
             total += weight * value_score(row[position])
         return total
-
-
-class BoundedScorer:
-    """Threshold-aware Sim(reference, ·): a proven skip or the exact score.
-
-    Wraps a :class:`BindingsScorer` with per-term *score upper bounds*:
-    a categorical candidate equal to the reference can score at most
-    ``weight·1.0``, any other candidate at most ``weight·cap`` where
-    ``cap`` is the largest mined similarity involving the reference
-    value (the head of its neighbour posting list —
-    ``SimilarityModel.max_similarity``; 1.0 when no index is mined).
-    Numeric terms keep the trivial cap 1.0.
-
-    :meth:`score_above` walks the bound terms with a running
-    suffix-weight cutoff and returns ``None`` as soon as the remaining
-    terms provably cannot lift the row over the threshold — otherwise
-    it delegates to the exact scorer, so every returned score is
-    bit-identical to the plain path.  Soundness: a skip requires
-    ``Σ bound_t ≤ threshold − slack`` with each ``bound_t`` dominating
-    its true term, so the true score cannot exceed the threshold.
-    """
-
-    __slots__ = ("_scorer", "_bound_plan", "_suffix", "_cutoff")
-
-    def __init__(
-        self,
-        scorer: BindingsScorer,
-        bound_plan: Sequence[
-            tuple[float, Callable[[Sequence[object]], float]]
-        ],
-        threshold: float,
-    ) -> None:
-        self._scorer = scorer
-        self._bound_plan = tuple(bound_plan)
-        self._cutoff = threshold - _BOUND_SLACK
-        # suffix[t] = Σ_{u>t} weight_u — the most the unseen terms can add.
-        weights = [weight for weight, _ in self._bound_plan]
-        suffix = [0.0] * len(weights)
-        acc = 0.0
-        for index in range(len(weights) - 1, 0, -1):
-            acc += weights[index]
-            suffix[index - 1] = acc
-        self._suffix = tuple(suffix)
-
-    def score_above(self, row: Sequence[object]) -> float | None:
-        """Exact Sim(reference, row), or None when provably ≤ threshold."""
-        bound = 0.0
-        for index, (_, term_bound) in enumerate(self._bound_plan):
-            bound += term_bound(row)
-            if bound + self._suffix[index] <= self._cutoff:
-                return None
-        return self._scorer(row)
 
 
 class TupleSimilarity:
@@ -291,83 +231,6 @@ class TupleSimilarity:
             if reference_row[self.schema.position(name)] is not None
         }
         return self.bindings_scorer(bindings)
-
-    def bounded_scorer(
-        self, bindings: Mapping[str, object], threshold: float
-    ) -> BoundedScorer:
-        """Compile Sim(bindings, ·) with early termination at ``threshold``.
-
-        The bound plan mirrors :meth:`bindings_scorer` term for term
-        (same filtering, same order); categorical caps come from the
-        mined model's neighbour index via
-        ``SimilarityModel.max_similarity`` (1.0 without one).
-        """
-        scorer = self.bindings_scorer(bindings)
-        attributes = tuple(bindings)
-        bound_plan: list[
-            tuple[float, Callable[[Sequence[object]], float]]
-        ] = []
-        if attributes:
-            weights = self._weights_for(attributes)
-            for attribute, reference in bindings.items():
-                weight = weights[attribute]
-                if weight == 0.0 or reference is None:
-                    continue
-                bound_plan.append(
-                    (
-                        weight,
-                        self._term_bound(attribute, reference, weight),
-                    )
-                )
-        return BoundedScorer(scorer, bound_plan, threshold)
-
-    def bounded_row_scorer(
-        self,
-        reference_row: Sequence[object],
-        threshold: float,
-        attributes: tuple[str, ...] | None = None,
-    ) -> BoundedScorer:
-        """Bounded form of :meth:`row_scorer` for one base tuple."""
-        names = attributes if attributes is not None else self.schema.attribute_names
-        bindings = {
-            name: reference_row[self.schema.position(name)]
-            for name in names
-            if reference_row[self.schema.position(name)] is not None
-        }
-        return self.bounded_scorer(bindings, threshold)
-
-    def _term_bound(
-        self, attribute: str, reference: object, weight: float
-    ) -> Callable[[Sequence[object]], float]:
-        """Upper bound on one term's contribution, memoised per value."""
-        position = self.schema.position(attribute)
-        if self.schema.attribute(attribute).is_numeric:
-            # Numeric closeness can reach 1.0 anywhere in the band, so
-            # the trivial cap is the only sound one.
-            def numeric_bound(row: Sequence[object]) -> float:
-                return 0.0 if row[position] is None else weight
-
-            return numeric_bound
-
-        reference_text = str(reference)
-        cap = weight * self.value_similarity.max_similarity(
-            attribute, reference_text
-        )
-        memo: dict[object, float] = {}
-
-        def categorical_bound(row: Sequence[object]) -> float:
-            candidate = row[position]
-            if candidate is None:
-                return 0.0
-            cached = memo.get(candidate)
-            if cached is None:
-                cached = (
-                    weight if str(candidate) == reference_text else cap
-                )
-                memo[candidate] = cached
-            return cached
-
-        return categorical_bound
 
     def _weights_for(self, attributes: tuple[str, ...]) -> dict[str, float]:
         """Memoised ``ordering.weights_over`` (callers must not mutate)."""

@@ -33,6 +33,22 @@ class StoreError(Exception):
     """A stored model cannot be written or does not match on load."""
 
 
+#: Settings that earlier builds wrote and this build no longer has.
+#: Loading drops exactly these keys, so older files keep answering
+#: identically while any other unknown key is still refused.
+_RETIRED_SETTINGS = frozenset({"indexed_ranking"})
+_RETIRED_SIMMINING = frozenset(
+    {
+        "workers",
+        "parallel_chunk_pairs",
+        "prune_bound",
+        "store_threshold",
+        "use_index",
+        "index_topk",
+    }
+)
+
+
 # -- serialisation ----------------------------------------------------------
 
 
@@ -206,41 +222,59 @@ def _load_similarity(payload: dict) -> SimilarityModel:
 
 
 def _load_settings(payload: dict) -> AIMQSettings:
-    data = dict(payload)
+    data = {
+        key: value
+        for key, value in payload.items()
+        if key not in _RETIRED_SETTINGS
+    }
     data["tane"] = TaneConfig(**data["tane"])
-    data["simmining"] = SimilarityMinerConfig(**data["simmining"])
+    data["simmining"] = SimilarityMinerConfig(
+        **{
+            key: value
+            for key, value in data["simmining"].items()
+            if key not in _RETIRED_SIMMINING
+        }
+    )
     return AIMQSettings(**data)
 
 
 def load_model(path: str | Path, schema: RelationSchema) -> AIMQModel:
     """Load a stored model and bind it to ``schema``.
 
-    Raises :class:`StoreError` on version or schema mismatch.  The
-    returned model's ``sample`` is an empty table carrying the schema —
-    the probed data is not persisted.
+    Raises :class:`StoreError` on version or schema mismatch and on a
+    malformed payload (missing sections, unknown settings, values out
+    of range).  The returned model's ``sample`` is an empty table
+    carrying the schema — the probed data is not persisted.
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise StoreError(f"cannot read stored model at {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StoreError(f"stored model at {path} is not a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise StoreError(
             f"stored model has format version {version!r}; this build "
             f"reads version {FORMAT_VERSION}"
         )
-    _check_schema(payload, schema)
-    timings = BuildTimings(**payload["timings"])
-    return AIMQModel(
-        sample=Table(schema),
-        dependencies=_load_dependencies(payload["dependencies"]),
-        ordering=_load_ordering(payload["ordering"]),
-        value_similarity=_load_similarity(payload["similarity"]),
-        settings=_load_settings(payload["settings"]),
-        timings=timings,
-        numeric_extents={
-            name: (extent[0], extent[1])
-            for name, extent in payload.get("numeric_extents", {}).items()
-        },
-    )
+    try:
+        _check_schema(payload, schema)
+        return AIMQModel(
+            sample=Table(schema),
+            dependencies=_load_dependencies(payload["dependencies"]),
+            ordering=_load_ordering(payload["ordering"]),
+            value_similarity=_load_similarity(payload["similarity"]),
+            settings=_load_settings(payload["settings"]),
+            timings=BuildTimings(**payload["timings"]),
+            numeric_extents={
+                name: (extent[0], extent[1])
+                for name, extent in payload.get("numeric_extents", {}).items()
+            },
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StoreError(
+            f"stored model at {path} is malformed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc

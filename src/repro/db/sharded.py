@@ -25,7 +25,7 @@ an unsharded one over the same rows:
   matches were left over beyond the gathered window — exactly when the
   unsharded executor would have set the flag.
 
-Probe accounting rolls up as documented in docs/PERFORMANCE.md §8: the
+Probe accounting rolls up as documented in docs/PERFORMANCE.md §6: the
 facade's :class:`ProbeLog` records one entry per *logical* probe (the
 number Figures 6–7 count), while each shard's own log records the
 fan-out traffic; ``execution_stats`` is the sum over shard engines.

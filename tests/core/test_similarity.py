@@ -224,55 +224,3 @@ class TestCompiledScorers:
         first = scorer._weights_memo[("Model", "Price")]
         scorer.bindings_scorer({"Model": "Accord", "Price": 2})
         assert scorer._weights_memo[("Model", "Price")] is first
-
-
-class TestBoundedScorer:
-    """Early termination must be sound: skip only provable non-answers."""
-
-    ROWS = TestCompiledScorers.ROWS
-
-    @pytest.fixture()
-    def indexed_scorer(self, toy_schema):
-        """Same mined pairs as ``scorer`` but with the neighbour index,
-        so categorical caps come from real posting-list heads."""
-        model = SimilarityModel(["Make", "Model"])
-        model.enable_top_index()
-        model.record("Model", "Camry", "Accord", 0.8)
-        model.record("Model", "Camry", "F-150", 0.1)
-        model.record("Make", "Toyota", "Honda", 0.5)
-        return TupleSimilarity(toy_schema, uniform_ordering(toy_schema), model)
-
-    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.7, 0.95])
-    def test_kept_scores_are_exact_and_skips_are_sound(
-        self, scorer, indexed_scorer, threshold
-    ):
-        bindings = {"Make": "Toyota", "Model": "Camry", "Price": 10000}
-        for similarity in (scorer, indexed_scorer):
-            exact = similarity.bindings_scorer(bindings)
-            bounded = similarity.bounded_scorer(bindings, threshold)
-            for row in self.ROWS:
-                maybe = bounded.score_above(row)
-                if maybe is None:
-                    # A skip is a proof the row cannot clear the bar.
-                    assert exact(row) <= threshold
-                else:
-                    assert maybe == exact(row)
-
-    def test_indexed_caps_actually_skip(self, indexed_scorer):
-        # Make=Ford has no mined pairs, so its cap is 0 with the index:
-        # a non-Ford row can score at most the Model+Price terms.
-        bounded = indexed_scorer.bounded_scorer(
-            {"Make": "Ford", "Model": "Camry", "Price": 10000}, 0.9
-        )
-        assert bounded.score_above(("Toyota", "Camry", 10000, 2000)) is None
-
-    def test_bounded_row_scorer_matches_row_scorer(self, indexed_scorer):
-        reference = ("Toyota", "Camry", 10000, 2000)
-        exact = indexed_scorer.row_scorer(reference)
-        bounded = indexed_scorer.bounded_row_scorer(reference, 0.4)
-        for row in self.ROWS:
-            maybe = bounded.score_above(row)
-            if maybe is None:
-                assert exact(row) <= 0.4
-            else:
-                assert maybe == exact(row)

@@ -117,3 +117,84 @@ class TestErrors:
         path.write_text("{not json")
         with pytest.raises(StoreError):
             load_model(path, car_table.schema)
+
+
+def _rewrite(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestMalformedPayload:
+    """Payload faults surface as StoreError, never as raw exceptions."""
+
+    def test_unknown_simmining_key(self, mined_model, car_table, tmp_path):
+        path = _rewrite(
+            save_model(mined_model, tmp_path / "model.json"),
+            lambda payload: payload["settings"]["simmining"].update(bogus=1),
+        )
+        with pytest.raises(StoreError, match="TypeError"):
+            load_model(path, car_table.schema)
+
+    def test_missing_settings(self, mined_model, car_table, tmp_path):
+        path = _rewrite(
+            save_model(mined_model, tmp_path / "model.json"),
+            lambda payload: payload.pop("settings"),
+        )
+        with pytest.raises(StoreError, match="KeyError"):
+            load_model(path, car_table.schema)
+
+    def test_pair_score_out_of_range(self, mined_model, car_table, tmp_path):
+        def edit(payload):
+            pairs = payload["similarity"]["pairs"]
+            attribute = next(name for name, rows in pairs.items() if rows)
+            pairs[attribute][0][2] = 7.0
+
+        path = _rewrite(save_model(mined_model, tmp_path / "model.json"), edit)
+        with pytest.raises(StoreError, match="ValueError"):
+            load_model(path, car_table.schema)
+
+
+#: The similarity options older files carry, at their old defaults.
+RETIRED_SIMMINING = {
+    "workers": 1,
+    "parallel_chunk_pairs": 512,
+    "prune_bound": False,
+    "store_threshold": 0.0,
+    "use_index": False,
+    "index_topk": False,
+}
+
+
+class TestRetiredSettings:
+    """Files written before the similarity options were removed."""
+
+    def _with_retired_keys(self, payload):
+        payload["settings"]["indexed_ranking"] = False
+        payload["settings"]["simmining"].update(RETIRED_SIMMINING)
+
+    def test_retired_keys_load_and_answer_identically(
+        self, mined_model, car_table, car_webdb, tmp_path
+    ):
+        path = _rewrite(
+            save_model(mined_model, tmp_path / "model.json"),
+            self._with_retired_keys,
+        )
+        loaded = load_model(path, car_table.schema)
+        assert loaded.settings == mined_model.settings
+        query = ImpreciseQuery.like("CarDB", Model="Civic", Price=8000)
+        original = mined_model.engine(car_webdb).answer(query, k=5)
+        reloaded = loaded.engine(car_webdb).answer(query, k=5)
+        assert original.answers == reloaded.answers
+
+    def test_only_retired_keys_are_dropped(
+        self, mined_model, car_table, tmp_path
+    ):
+        def edit(payload):
+            self._with_retired_keys(payload)
+            payload["settings"]["not_a_setting"] = True
+
+        path = _rewrite(save_model(mined_model, tmp_path / "model.json"), edit)
+        with pytest.raises(StoreError, match="not_a_setting"):
+            load_model(path, car_table.schema)

@@ -10,7 +10,7 @@ randomly generated tables, paging windows and shard counts.  Tiny
 blocks (``block_rows=8``) force multi-block scans so zone maps and the
 block merge paths are genuinely exercised.
 
-Roll-up caveat (docs/PERFORMANCE.md §8): the sharded facade's
+Roll-up caveat (docs/PERFORMANCE.md §6): the sharded facade's
 ``ProbeLog`` is bit-identical to the unsharded one, but its
 ``execution_stats`` sum *physical* per-shard work — a healthy scatter
 runs one engine query per shard — so these tests deliberately never

@@ -1,5 +1,7 @@
 """Unit tests for the value-similarity miner and model."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.simmining.estimator import (
@@ -15,8 +17,6 @@ class TestConfig:
             SimilarityMinerConfig(numeric_bins=0)
         with pytest.raises(ValueError):
             SimilarityMinerConfig(min_value_count=0)
-        with pytest.raises(ValueError):
-            SimilarityMinerConfig(store_threshold=1.0)
 
 
 class TestSimilarityModel:
@@ -49,6 +49,17 @@ class TestSimilarityModel:
         top = model.top_similar("Make", "Ford", n=2)
         assert top == [("Chevrolet", 0.25), ("Toyota", 0.16)]
 
+    def test_top_ranks_by_score_then_value(self):
+        model = SimilarityModel(["Make"])
+        model.record("Make", "Ford", "Toyota", 0.25)
+        model.record("Make", "Ford", "Chevrolet", 0.25)  # tie: value breaks it
+        model.record("Make", "Ford", "Dodge", 0.5)
+        assert model.top_similar("Make", "Ford", n=3) == [
+            ("Dodge", 0.5),
+            ("Chevrolet", 0.25),
+            ("Toyota", 0.25),
+        ]
+
     def test_top_similar_excludes_self(self):
         model = SimilarityModel(["Make"])
         model.record("Make", "Ford", "Chevrolet", 0.25)
@@ -64,6 +75,17 @@ class TestSimilarityModel:
         model = SimilarityModel(["Make"])
         model.register_value("Make", "BMW")
         assert "BMW" in model.known_values("Make")
+
+    def test_pairs_returns_live_readonly_view(self):
+        model = SimilarityModel(["Make"])
+        model.record("Make", "a", "b", 0.5)
+        view = model.pairs("Make")
+        assert isinstance(view, MappingProxyType)
+        assert model.pairs("Make") is view  # memoised, no per-call copy
+        with pytest.raises(TypeError):
+            view[("a", "b")] = 0.9  # type: ignore[index]
+        model.record("Make", "a", "c", 0.25)
+        assert ("a", "c") in view  # live: later records show through
 
 
 class TestMinerOnToyData(object):
@@ -114,11 +136,6 @@ class TestMinerOnToyData(object):
         pair = ("Honda", "Toyota")
         assert uniform.pairs("Make").get(pair) != price_only.pairs("Make").get(pair)
 
-    def test_store_threshold_prunes(self, toy_table):
-        config = SimilarityMinerConfig(min_value_count=1, store_threshold=0.99)
-        model = ValueSimilarityMiner(config=config).mine(toy_table)
-        assert model.pair_count() == 0
-
     def test_set_semantics_ablation_differs(self, toy_table):
         config_bag = SimilarityMinerConfig(min_value_count=1)
         config_set = SimilarityMinerConfig(min_value_count=1, bag_semantics=False)
@@ -155,16 +172,6 @@ class TestMinerOnCarDB:
         ford_chev = car_model.similarity("Make", "Ford", "Chevrolet")
         ford_bmw = car_model.similarity("Make", "Ford", "BMW")
         assert ford_chev > ford_bmw
-
-
-class TestConfigFastPaths:
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            SimilarityMinerConfig(workers=0)
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ValueError):
-            SimilarityMinerConfig(parallel_chunk_pairs=0)
 
 
 class TestTopSimilarRegression:
